@@ -70,8 +70,7 @@ class Cache:
     __slots__ = ("name", "size", "assoc", "line_size", "n_sets", "hit_latency",
                  "serial_tag_data", "ports", "hash", "policy", "victim",
                  "prefetcher", "mshrs", "next_level", "stats", "_sets",
-                 "_port_free", "_hit_time", "_tag_time", "_index",
-                 "_single_port", "_lru", "_no_prefetch", "access_line")
+                 "_port_free", "access_line")
 
     def __init__(
         self,
@@ -116,23 +115,12 @@ class Cache:
         # the sets; building hundreds of dicts per run is pure overhead).
         self._sets = [None] * self.n_sets
         self._port_free = [0] * ports
-        # Effective latencies: serial tag->data access adds one cycle to
-        # hits; the miss determination needs only the tag array.
-        self._hit_time = hit_latency + (1 if serial_tag_data else 0)
-        self._tag_time = 2 if serial_tag_data else 1
-        # Hot-path shortcuts resolved once: the set-index function, the
-        # common single-ported geometry, LRU recency maintenance (dict
-        # pop/reinsert, inlined to skip a method call per hit) and the
-        # no-op prefetcher (skips the observe call entirely).
-        self._index = self.hash.index
-        self._single_port = ports == 1
-        self._lru = isinstance(self.policy, LRUPolicy)
-        self._no_prefetch = isinstance(self.prefetcher, NullPrefetcher)
         self._install_access_path()
 
     # ------------------------------------------------------------------
-    def _claim_port(self, now: int) -> int:
-        ports = self._port_free
+    @staticmethod
+    def _claim_port(ports: list, now: int) -> int:
+        """Start cycle on the earliest-free of several ports; books it."""
         best = 0
         best_free = ports[0]
         for i in range(1, len(ports)):
@@ -143,75 +131,219 @@ class Cache:
         ports[best] = start + 1
         return start
 
-    def _fill(self, line_addr: int, ready: int, dirty: bool, prefetched: bool) -> None:
-        """Install ``line_addr``; evict (and maybe write back) a victim."""
-        idx = self._index(line_addr)
-        entries = self._sets[idx]
-        if entries is None:
-            entries = self._sets[idx] = {}
-        existing = entries.get(line_addr)
-        if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            if ready < existing.ready:
-                existing.ready = ready
-            return
-        if len(entries) >= self.assoc:
-            victim_tag = self.policy.choose_victim(entries)
-            victim_line = entries.pop(victim_tag)
-            self._handle_eviction(victim_tag, victim_line, ready)
-        entries[line_addr] = _Line(dirty=dirty, ready=ready, prefetched=prefetched)
-
-    def _handle_eviction(self, line_addr: int, line: _Line, now: int) -> None:
-        if self.victim is not None:
-            overflow_addr, overflow_dirty = self.victim.insert(line_addr, line.dirty)
-            if overflow_addr is not None and overflow_dirty:
-                self._writeback(overflow_addr, now)
-        elif line.dirty:
-            self._writeback(line_addr, now)
-
-    def _writeback(self, line_addr: int, now: int) -> None:
-        self.stats.writebacks += 1
-        if self.next_level is not None:
-            self.next_level.access_line(line_addr, now, True, False)
-
-    # ------------------------------------------------------------------
     def _install_access_path(self) -> None:
-        """Bind ``access_line`` to the fastest applicable implementation.
+        """Compose ``access_line`` from this cache's own components.
 
-        For the common geometry — single-ported, LRU, victimless, no
-        prefetcher — a monomorphic closure with every per-access
-        attribute pre-resolved replaces the general method. The closure
-        is timing- and stats-identical to :meth:`_access_line_general`
-        (whose code paths it specialises); anything fancier falls back
-        to the general method. Re-installed by :meth:`reset`, which
-        replaces the bound state objects.
+        Every per-access dependency is resolved here, once: the set index
+        (one inline AND for power-of-two mask hashing, else the hash's
+        bound ``index``), the port claim (inline for one port, else
+        :meth:`_claim_port`), the replacement hooks (LRU recency inlined
+        as a dict pop/reinsert, else the policy's bound ``on_hit`` and
+        ``choose_victim``), the victim buffer's bound ``probe`` and
+        ``insert``, and the prefetcher's bound ``observe`` followed by an
+        inlined issue loop. Hits skip ``observe`` when the prefetcher
+        declares it ignores them (:attr:`Prefetcher.needs_hits`). The
+        common geometry — single-ported, LRU, victimless, no prefetcher —
+        gets a leaner monomorphic closure that tests none of those
+        options per access. Both closures inline the MSHR file. Neither
+        references the cache itself, so a finished trial's caches are
+        freed by reference counting, not left to the cycle collector.
+        Re-run by :meth:`reset`, which replaces the bound state objects.
         """
-        if not (self._single_port and self._lru and self._no_prefetch
-                and self.victim is None):
-            self.access_line = self._access_line_general
-            return
-
         stats = self.stats
         sets = self._sets
-        index = self._index
+        ports = self._port_free
+        index = self.hash.index
         # Power-of-two mask indexing (the default) inlines to one AND.
         mask = -1
         if isinstance(self.hash, MaskHash) and self.hash._pow2:
             mask = self.hash._mask
-        ports = self._port_free
-        hit_time = self._hit_time
-        tag_time = self._tag_time
+        # Serial tag->data access adds one cycle to hits; the miss
+        # determination needs only the tag array.
+        hit_latency = self.hit_latency
+        hit_time = hit_latency + (1 if self.serial_tag_data else 0)
+        tag_time = 2 if self.serial_tag_data else 1
         assoc = self.assoc
         mshrs = self.mshrs
         mshr_entries = mshrs.entries
         mshr_heap = mshrs._heap
         mshr_inflight = mshrs._inflight
         mshr_expire = mshrs._expire
-        fill = self._fill
         next_level = self.next_level
         next_access = next_level.access_line if next_level is not None else None
         heappush = heapq.heappush
         line_cls = _Line
+        policy = self.policy
+        lru = isinstance(policy, LRUPolicy)
+        choose_victim = policy.choose_victim
+        victim = self.victim
+        victim_insert = victim.insert if victim is not None else None
+        prefetcher = self.prefetcher
+        observe = None
+        if not isinstance(prefetcher, NullPrefetcher):
+            observe = prefetcher.observe
+
+        def fill(line_addr: int, entries: dict, ready: int, dirty: bool,
+                 prefetched: bool) -> None:
+            """Install the absent ``line_addr`` in its set; evict a victim.
+
+            Every caller fills a line it just missed on, and levels below
+            never touch this cache's sets, so the line is always new.
+            """
+            if len(entries) >= assoc:
+                tag = next(iter(entries)) if lru else choose_victim(entries)
+                wb = entries.pop(tag).dirty
+                if victim_insert is not None:
+                    # The buffer absorbs the eviction and may push out
+                    # its oldest line instead.
+                    tag, wb = victim_insert(tag, wb)
+                if wb:
+                    stats.writebacks += 1
+                    if next_access is not None:
+                        next_access(tag, ready, True, False)
+            entries[line_addr] = line_cls(dirty, ready, prefetched)
+
+        if self.ports == 1 and lru and observe is None and victim is None:
+            def access_line(
+                line_addr: int,
+                now: int,
+                is_write: bool = False,
+                is_prefetch: bool = False,
+                pc: int = 0,
+            ) -> int:
+                """Access one line; returns the absolute data-ready cycle."""
+                if not is_prefetch:
+                    stats.accesses += 1
+                free = ports[0]
+                start = now if now > free else free
+                ports[0] = start + 1
+
+                idx = line_addr & mask if mask >= 0 else index(line_addr)
+                entries = sets[idx]
+                if entries is None:
+                    entries = sets[idx] = {}
+                    line = None
+                else:
+                    line = entries.get(line_addr)
+
+                if line is not None:
+                    done = start + hit_time
+                    if line.ready > done:
+                        # In-flight line: a delayed hit (merged into the
+                        # outstanding miss).
+                        done = line.ready
+                        if not is_prefetch:
+                            if line.prefetched:
+                                stats.late_prefetch_hits += 1
+                            else:
+                                stats.mshr_merges += 1
+                    if not is_prefetch:
+                        stats.hits += 1
+                        if line.prefetched:
+                            stats.prefetch_hits += 1
+                            line.prefetched = False
+                    # Inlined LRUPolicy.on_hit: move to the recency tail.
+                    entries[line_addr] = entries.pop(line_addr)
+                    if is_write:
+                        line.dirty = True
+                    return done
+
+                # ---------------------------------------------- miss path
+                tag_done = start + tag_time
+                if not is_prefetch:
+                    stats.misses += 1
+
+                # Inlined MSHRFile lookup + allocate: one expiry sweep
+                # serves both (identical state evolution — lookup's sweep
+                # is what allocate would repeat at the same cycle).
+                if mshr_inflight:
+                    if mshr_heap[0][0] <= tag_done:
+                        mshr_expire(tag_done)
+                    inflight = mshr_inflight.get(line_addr, -1)
+                    if inflight >= 0:
+                        if not is_prefetch:
+                            stats.mshr_merges += 1
+                        if is_write:
+                            fill(line_addr, entries, inflight, True, False)
+                        return tag_done if tag_done > inflight else inflight
+                    if len(mshr_inflight) < mshr_entries:
+                        issue = tag_done
+                    else:
+                        earliest = mshr_heap[0][0]
+                        mshr_expire(earliest)
+                        issue = tag_done if tag_done > earliest else earliest
+                else:
+                    issue = tag_done
+
+                if next_access is not None:
+                    done = next_access(line_addr, issue, False, is_prefetch)
+                else:
+                    done = issue  # no backing level configured (unit tests)
+                # Inlined MSHRFile.record.
+                mshr_inflight[line_addr] = done
+                heappush(mshr_heap, (done, line_addr))
+
+                # Inlined fill for the victimless-LRU geometry.
+                existing = entries.get(line_addr)
+                if existing is not None:
+                    existing.dirty = existing.dirty or is_write
+                    if done < existing.ready:
+                        existing.ready = done
+                else:
+                    if len(entries) >= assoc:
+                        victim_tag = next(iter(entries))  # LRU victim
+                        victim_line = entries.pop(victim_tag)
+                        if victim_line.dirty:
+                            stats.writebacks += 1
+                            if next_access is not None:
+                                next_access(victim_tag, done, True, False)
+                    entries[line_addr] = line_cls(is_write, done, is_prefetch)
+                return done
+
+            self.access_line = access_line
+            return
+
+        on_hit = policy.on_hit
+        victim_probe = victim.probe if victim is not None else None
+        observe_hits = observe is not None and prefetcher.needs_hits
+        single_port = self.ports == 1
+        claim_port = self._claim_port  # static: binds no reference to self
+
+        def prefetch(line_addr: int, pc: int, hit: bool, now: int) -> None:
+            """Show a demand access to the prefetcher; issue its candidates."""
+            for pf_addr in observe(line_addr, pc, hit):
+                if pf_addr < 0:
+                    continue
+                pf_idx = pf_addr & mask if mask >= 0 else index(pf_addr)
+                pf_set = sets[pf_idx]
+                if pf_set is not None and pf_addr in pf_set:
+                    continue
+                if mshr_inflight:
+                    if mshr_heap[0][0] <= now:
+                        mshr_expire(now)
+                    if pf_addr in mshr_inflight:
+                        continue
+                if len(mshr_inflight) >= mshr_entries:
+                    break  # never stall demand traffic for prefetches
+                stats.prefetches_issued += 1
+                done = now
+                if next_access is not None:
+                    done = next_access(pf_addr, now, False, True)
+                mshr_inflight[pf_addr] = done
+                heappush(mshr_heap, (done, pf_addr))
+                # Inlined fill (see fill()).
+                if pf_set is None:
+                    pf_set = sets[pf_idx] = {}
+                elif len(pf_set) >= assoc:
+                    tag = next(iter(pf_set)) if lru else choose_victim(pf_set)
+                    wb = pf_set.pop(tag).dirty
+                    if victim_insert is not None:
+                        tag, wb = victim_insert(tag, wb)
+                    if wb:
+                        stats.writebacks += 1
+                        if next_access is not None:
+                            next_access(tag, done, True, False)
+                pf_set[pf_addr] = line_cls(False, done, True)
 
         def access_line(
             line_addr: int,
@@ -223,9 +355,12 @@ class Cache:
             """Access one line; returns the absolute data-ready cycle."""
             if not is_prefetch:
                 stats.accesses += 1
-            free = ports[0]
-            start = now if now > free else free
-            ports[0] = start + 1
+            if single_port:
+                free = ports[0]
+                start = now if now > free else free
+                ports[0] = start + 1
+            else:
+                start = claim_port(ports, now)
 
             idx = line_addr & mask if mask >= 0 else index(line_addr)
             entries = sets[idx]
@@ -238,8 +373,8 @@ class Cache:
             if line is not None:
                 done = start + hit_time
                 if line.ready > done:
-                    # In-flight line: a delayed hit (merged into the
-                    # outstanding miss).
+                    # In-flight line: a delayed hit. A demand fill in
+                    # flight means this access merged into the miss.
                     done = line.ready
                     if not is_prefetch:
                         if line.prefetched:
@@ -251,20 +386,30 @@ class Cache:
                     if line.prefetched:
                         stats.prefetch_hits += 1
                         line.prefetched = False
-                # Inlined LRUPolicy.on_hit: move to the recency tail.
-                entries[line_addr] = entries.pop(line_addr)
+                if lru:
+                    entries[line_addr] = entries.pop(line_addr)
+                else:
+                    on_hit(entries, line_addr)
                 if is_write:
                     line.dirty = True
+                if observe_hits and not is_prefetch:
+                    prefetch(line_addr, pc, True, done)
                 return done
 
             # -------------------------------------------------- miss path
             tag_done = start + tag_time
+            if victim_probe is not None and victim_probe(line_addr):
+                if not is_prefetch:
+                    stats.hits += 1
+                    stats.victim_hits += 1
+                done = tag_done + hit_latency  # swap takes an extra access
+                fill(line_addr, entries, done, is_write, False)
+                if observe_hits and not is_prefetch:
+                    prefetch(line_addr, pc, True, done)
+                return done
+
             if not is_prefetch:
                 stats.misses += 1
-
-            # Inlined MSHRFile lookup + allocate: one expiry sweep serves
-            # both (identical state evolution — lookup's sweep is what
-            # allocate would repeat at the same cycle).
             if mshr_inflight:
                 if mshr_heap[0][0] <= tag_done:
                     mshr_expire(tag_done)
@@ -273,7 +418,7 @@ class Cache:
                     if not is_prefetch:
                         stats.mshr_merges += 1
                     if is_write:
-                        fill(line_addr, inflight, True, False)
+                        fill(line_addr, entries, inflight, True, False)
                     return tag_done if tag_done > inflight else inflight
                 if len(mshr_inflight) < mshr_entries:
                     issue = tag_done
@@ -284,149 +429,27 @@ class Cache:
             else:
                 issue = tag_done
 
+            done = issue
             if next_access is not None:
                 done = next_access(line_addr, issue, False, is_prefetch)
-            else:
-                done = issue  # no backing level configured (unit tests)
-            # Inlined MSHRFile.record.
             mshr_inflight[line_addr] = done
             heappush(mshr_heap, (done, line_addr))
-
-            # Inlined _fill for the victimless-LRU fast path.
-            existing = entries.get(line_addr)
-            if existing is not None:
-                existing.dirty = existing.dirty or is_write
-                if done < existing.ready:
-                    existing.ready = done
-            else:
-                if len(entries) >= assoc:
-                    victim_tag = next(iter(entries))  # LRU victim
-                    victim_line = entries.pop(victim_tag)
-                    if victim_line.dirty:
-                        # Inlined _writeback.
-                        stats.writebacks += 1
-                        if next_access is not None:
-                            next_access(victim_tag, done, True, False)
-                entries[line_addr] = line_cls(is_write, done, is_prefetch)
+            # Inlined fill (see fill()).
+            if len(entries) >= assoc:
+                tag = next(iter(entries)) if lru else choose_victim(entries)
+                wb = entries.pop(tag).dirty
+                if victim_insert is not None:
+                    tag, wb = victim_insert(tag, wb)
+                if wb:
+                    stats.writebacks += 1
+                    if next_access is not None:
+                        next_access(tag, done, True, False)
+            entries[line_addr] = line_cls(is_write, done, is_prefetch)
+            if observe is not None and not is_prefetch:
+                prefetch(line_addr, pc, False, tag_done)
             return done
 
         self.access_line = access_line
-
-    def _access_line_general(
-        self,
-        line_addr: int,
-        now: int,
-        is_write: bool = False,
-        is_prefetch: bool = False,
-        pc: int = 0,
-    ) -> int:
-        """Access one line; returns the absolute data-ready cycle."""
-        stats = self.stats
-        if not is_prefetch:
-            stats.accesses += 1
-        if self._single_port:
-            # Inlined single-port claim (the overwhelmingly common
-            # geometry): same arithmetic as _claim_port for one port.
-            ports = self._port_free
-            free = ports[0]
-            start = now if now > free else free
-            ports[0] = start + 1
-        else:
-            start = self._claim_port(now)
-
-        idx = self._index(line_addr)
-        entries = self._sets[idx]
-        if entries is None:
-            entries = self._sets[idx] = {}
-            line = None
-        else:
-            line = entries.get(line_addr)
-
-        if line is not None:
-            done = start + self._hit_time
-            if line.ready > done:
-                # In-flight line: a delayed hit. A demand fill in flight
-                # means this access merged into the outstanding miss.
-                done = line.ready
-                if not is_prefetch:
-                    if line.prefetched:
-                        stats.late_prefetch_hits += 1
-                    else:
-                        stats.mshr_merges += 1
-            if not is_prefetch:
-                stats.hits += 1
-                if line.prefetched:
-                    stats.prefetch_hits += 1
-                    line.prefetched = False
-            if self._lru:
-                # Inlined LRUPolicy.on_hit: move to the recency tail.
-                entries[line_addr] = entries.pop(line_addr)
-            else:
-                self.policy.on_hit(entries, line_addr)
-            if is_write:
-                line.dirty = True
-            if not self._no_prefetch:
-                self._maybe_prefetch(line_addr, pc, True, done, not is_prefetch)
-            return done
-
-        # ------------------------------------------------------ miss path
-        tag_done = start + self._tag_time
-
-        if self.victim is not None and self.victim.probe(line_addr):
-            if not is_prefetch:
-                stats.hits += 1
-                stats.victim_hits += 1
-            done = tag_done + self.hit_latency  # swap takes an extra access
-            self._fill(line_addr, done, is_write, False)
-            if not self._no_prefetch:
-                self._maybe_prefetch(line_addr, pc, True, done, not is_prefetch)
-            return done
-
-        if not is_prefetch:
-            stats.misses += 1
-
-        inflight = self.mshrs.lookup(line_addr, tag_done)
-        if inflight >= 0:
-            if not is_prefetch:
-                stats.mshr_merges += 1
-            if is_write:
-                self._fill(line_addr, inflight, True, False)
-            return max(tag_done, inflight)
-
-        issue = self.mshrs.allocate(line_addr, tag_done)
-        if self.next_level is not None:
-            done = self.next_level.access_line(line_addr, issue, False, is_prefetch)
-        else:
-            done = issue  # no backing level configured (unit tests)
-        self.mshrs.record(line_addr, done)
-        self._fill(line_addr, done, is_write, is_prefetch)
-        if not self._no_prefetch:
-            self._maybe_prefetch(line_addr, pc, False, tag_done, not is_prefetch)
-        return done
-
-    def _maybe_prefetch(self, line_addr: int, pc: int, hit: bool, now: int, is_demand: bool) -> None:
-        if not is_demand:
-            return
-        candidates = self.prefetcher.observe(line_addr, pc, hit)
-        if not candidates:
-            return
-        for pf_addr in candidates:
-            if pf_addr < 0:
-                continue
-            pf_set = self._sets[self._index(pf_addr)]
-            if pf_set is not None and pf_addr in pf_set:
-                continue
-            if self.mshrs.lookup(pf_addr, now) >= 0:
-                continue
-            if self.mshrs.outstanding >= self.mshrs.entries:
-                break  # never stall demand traffic for prefetches
-            self.stats.prefetches_issued += 1
-            if self.next_level is not None:
-                done = self.next_level.access_line(pf_addr, now, False, True)
-            else:
-                done = now
-            self.mshrs.record(pf_addr, done)
-            self._fill(pf_addr, done, dirty=False, prefetched=True)
 
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:

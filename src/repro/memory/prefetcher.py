@@ -20,6 +20,15 @@ class Prefetcher:
     def __init__(self, on_hit: bool = False) -> None:
         self.on_hit = on_hit
 
+    @property
+    def needs_hits(self) -> bool:
+        """Whether :meth:`observe` must see hits.
+
+        When false, ``observe(..., hit=True)`` returns no candidates and
+        changes no state, so the owning cache skips the call on hits.
+        """
+        return self.on_hit
+
     def observe(self, line_addr: int, pc: int, hit: bool) -> list:
         """Return line addresses to prefetch after this demand access."""
         raise NotImplementedError
@@ -32,6 +41,7 @@ class NullPrefetcher(Prefetcher):
     """No prefetching."""
 
     kind = "none"
+    needs_hits = False
 
     def observe(self, line_addr: int, pc: int, hit: bool) -> list:
         return []
@@ -54,7 +64,7 @@ class NextLinePrefetcher(Prefetcher):
     def observe(self, line_addr: int, pc: int, hit: bool) -> list:
         if hit and not self.on_hit:
             return []
-        return [line_addr + d for d in range(1, self.degree + 1)]
+        return list(range(line_addr + 1, line_addr + self.degree + 1))
 
     def reset(self) -> None:
         pass
@@ -69,6 +79,9 @@ class StridePrefetcher(Prefetcher):
     """
 
     kind = "stride"
+    #: The reference table trains on every demand access; ``on_hit``
+    #: only gates whether hits trigger prefetches.
+    needs_hits = True
 
     def __init__(self, table_entries: int = 64, degree: int = 2, on_hit: bool = True) -> None:
         super().__init__(on_hit)
@@ -98,7 +111,9 @@ class StridePrefetcher(Prefetcher):
         entry[1] = line_addr
         confident = entry[3] >= 2
         if confident and (not hit or self.on_hit) and entry[2] != 0:
-            out = [line_addr + entry[2] * d for d in range(1, self.degree + 1)]
+            stride = entry[2]
+            out = list(range(line_addr + stride,
+                             line_addr + stride * (self.degree + 1), stride))
         return out
 
     def reset(self) -> None:
@@ -191,7 +206,7 @@ class StreamPrefetcher(Prefetcher):
             # The access a stream predicted: the stream is confirmed —
             # advance it and run ``degree`` lines ahead.
             streams[line_addr + 1] = True
-            out = [line_addr + d for d in range(1, self.degree + 1)]
+            out = list(range(line_addr + 1, line_addr + self.degree + 1))
         else:
             # New candidate stream anchored here; evict the oldest
             # candidate when the table is full.

@@ -122,18 +122,30 @@ def _friedman_eliminate(costs: np.ndarray, alive: list, alpha: float) -> list:
 
 
 def _ttest_eliminate(costs: np.ndarray, alive: list, alpha: float) -> list:
-    """Paired t-test of each candidate against the best-mean candidate."""
+    """Paired t-test of each candidate against the best-mean candidate.
+
+    A difference that is constant up to floating-point noise (spread
+    within ten ulps of its mean, scipy's own cancellation threshold) has
+    zero variance: t is +/-inf and the one-sided p-value 0, so the sign
+    of the mean difference decides without calling the test.
+    """
     k, b = costs.shape
     if k < 2 or b < 2:
         return []
     means = costs.mean(axis=1)
     best = int(np.argmin(means))
+    noise = 10 * np.finfo(float).eps
     out = []
     for i in range(k):
         if i == best:
             continue
         diff = costs[i] - costs[best]
         if np.allclose(diff, 0):
+            continue
+        mean = diff.mean()
+        if np.abs(diff - mean).max() <= noise * abs(mean):
+            if mean > 0:
+                out.append(alive[i])
             continue
         t_stat, p_two = stats.ttest_rel(costs[i], costs[best])
         # One-sided: candidate i is worse.

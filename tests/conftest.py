@@ -6,6 +6,10 @@ results free to reuse, exactly as the paper measures each workload once.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import pytest
 
 from repro.core.config import cortex_a53_public_config, cortex_a72_public_config
@@ -15,6 +19,33 @@ from repro.frontend.program import PatternTaken, SequentialAddr
 from repro.hardware.board import FireflyRK3399
 from repro.isa.opclasses import OpClass
 from repro.isa.registers import int_reg
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_tempdir():
+    """Send the session's temp files to one directory, removed at the end.
+
+    URL-mode fleet workers cache traces under the temp directory and
+    never remove them; pointing ``TMPDIR`` (inherited by worker
+    subprocesses) and :data:`tempfile.tempdir` (this process) at a
+    session directory keeps those caches from outliving the run.
+    Yields ``(original temp dir, session dir)``.
+    """
+    original = tempfile.gettempdir()
+    saved_env = os.environ.get("TMPDIR")
+    saved_tempdir = tempfile.tempdir
+    session = tempfile.mkdtemp(prefix="repro-tests-")
+    os.environ["TMPDIR"] = session
+    tempfile.tempdir = session
+    try:
+        yield original, session
+    finally:
+        tempfile.tempdir = saved_tempdir
+        if saved_env is None:
+            os.environ.pop("TMPDIR", None)
+        else:
+            os.environ["TMPDIR"] = saved_env
+        shutil.rmtree(session, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

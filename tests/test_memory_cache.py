@@ -192,3 +192,33 @@ class TestInvariants:
         assert cache.resident_lines() <= (2048 // 64)
         # Monotone time, no negative counters.
         assert stats.writebacks >= 0 and stats.victim_hits == 0
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        dict(ports=2, replacement="plru", hashing="xor", victim_entries=4,
+             prefetcher=StridePrefetcher()),
+    ], ids=["monomorphic", "general"])
+    def test_dropped_caches_leave_no_cyclic_garbage(self, kwargs):
+        """The composed access path never references its cache, so a
+        finished trial's caches are freed without the cycle collector."""
+        import gc
+
+        def use():
+            cache = _l1(next_level=DramModel(), **kwargs)
+            for line in range(40):
+                cache.access_line(line % 24, line * 3, is_write=line % 3 == 0)
+            cache.reset()
+
+        use()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(5):
+                use()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,7 +1,12 @@
 """Prefetcher behaviour."""
 
-import pytest
+import copy
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.components import REGISTRY
+from repro.memory.cache import Cache
 from repro.memory.prefetcher import (
     GHBPrefetcher,
     NextLinePrefetcher,
@@ -149,3 +154,69 @@ class TestFactory:
     def test_parameters_forwarded(self):
         p = build_prefetcher("stride", degree=4, table_entries=16, on_hit=True)
         assert p.degree == 4 and p.table_entries == 16 and p.on_hit is True
+
+
+#: Every registered prefetcher, by name.
+_PREFETCHERS = [c.name for c in REGISTRY.slot("prefetcher")]
+
+_accesses = st.lists(
+    st.tuples(st.integers(0, 96), st.sampled_from((0x40, 0x44, 0x80, 0x1c0)),
+              st.booleans()),
+    max_size=60,
+)
+
+
+def _build(name, on_hit, degree=2, table_entries=16):
+    return build_prefetcher(name, degree=degree, table_entries=table_entries,
+                            on_hit=on_hit)
+
+
+class TestHitDeclaration:
+    """``needs_hits`` is false only where skipping hits is invisible.
+
+    The cache skips ``observe`` on hits for such prefetchers, which is
+    safe exactly when a hit observation proposes nothing and leaves the
+    prefetcher's state as it was.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(_PREFETCHERS), degree=st.sampled_from((1, 2, 4)),
+           table_entries=st.sampled_from((16, 32, 64)), warmup=_accesses,
+           probes=_accesses)
+    def test_hits_are_inert_when_not_needed(self, name, degree, table_entries,
+                                            warmup, probes):
+        p = _build(name, False, degree, table_entries)
+        if p.needs_hits:
+            return
+        for line, pc, hit in warmup:
+            p.observe(line, pc, hit)
+        for line, pc, _hit in probes:
+            before = copy.deepcopy(vars(p))
+            assert p.observe(line, pc, hit=True) == []
+            assert vars(p) == before
+
+    @pytest.mark.parametrize("name", _PREFETCHERS)
+    def test_on_hit_turns_hit_observation_back_on(self, name):
+        binds_on_hit = any(kwarg == "on_hit"
+                           for kwarg, _f in REGISTRY.slot("prefetcher").get(name).params)
+        assert _build(name, True).needs_hits is binds_on_hit
+
+    def test_declarations(self):
+        assert not NullPrefetcher().needs_hits
+        assert not NextLinePrefetcher(on_hit=False).needs_hits
+        # The stride table trains on every demand access.
+        assert StridePrefetcher(on_hit=False).needs_hits
+
+    @pytest.mark.parametrize("on_hit", [False, True])
+    def test_cache_shows_hits_only_when_needed(self, on_hit):
+        seen = []
+
+        class Spy(NextLinePrefetcher):
+            def observe(self, line_addr, pc, hit):
+                seen.append(hit)
+                return super().observe(line_addr, pc, hit)
+
+        cache = Cache("L1D", size=1024, assoc=2, prefetcher=Spy(on_hit=on_hit))
+        cache.access_line(10, 0)
+        cache.access_line(10, 100)  # a hit
+        assert seen == ([False, True] if on_hit else [False])

@@ -7,6 +7,7 @@ timing) only exist on a real socket.
 """
 
 import json
+import os
 import socket
 import threading
 import time
@@ -492,6 +493,29 @@ class TestWorkerOverHttp:
         for key in plan.keys:
             assert remote.get_sim(key) is not None
         remote.close()
+
+
+    def test_url_worker_leaves_no_trace_cache_in_the_temp_dir(
+            self, service, session_tempdir):
+        """The session fixture confines URL-mode trace caches."""
+        from repro.core.config import cortex_a53_public_config
+        from repro.fabric import FabricWorker, plan_simulations
+        from repro.isa.decoder import Decoder
+
+        original, session = session_tempdir
+
+        def caches(root):
+            return {n for n in os.listdir(root) if n.startswith("repro-traces-")}
+
+        before = caches(original)
+        plan = plan_simulations([(cortex_a53_public_config(), "CCa", 0.25, {},
+                                  Decoder())])
+        HttpQueue(service.url, token=TOKEN).enqueue(plan.tasks, submitted_by="test")
+        worker = FabricWorker(service.url, drain=True, token=TOKEN)
+        assert worker.run().completed == 1
+        assert os.path.dirname(worker._trace_cache_dir()) == session
+        assert caches(session)
+        assert caches(original) == before
 
 
 class TestExecutorOverHttp:

@@ -6,6 +6,10 @@ import pytest
 
 from repro.tuning.race import race
 
+# Elimination has a defined answer on tied and near-tied costs, so no
+# numerical warning may escape it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _noisy_evaluator(true_costs, sigma=0.02, seed=0):
     rng = random.Random(seed)
