@@ -494,7 +494,6 @@ class TestWorkerOverHttp:
             assert remote.get_sim(key) is not None
         remote.close()
 
-
     def test_url_worker_leaves_no_trace_cache_in_the_temp_dir(
             self, service, session_tempdir):
         """The session fixture confines URL-mode trace caches."""
